@@ -15,15 +15,15 @@ import sys
 from dataclasses import dataclass
 
 from . import criteria
-from .apn import classify_exponent, spectrum, surface_point_check
+from .apn import POINT_LIMIT, SPECTRUM_LIMIT, classify_exponent, spectrum, surface_point_check
 from .errors import FieldTooLarge, InternalError, ValidationError
 from .fields import FieldCtx, find_embedding, make_field, parse_field_spec
 from .phi import build_phi
 from .unipoly import UniPoly, parse_poly, split_q_affine
 
 SCHEMA_VERSION = 1
-SPECTRUM_LIMIT_BITS = 14
-POINT_LIMIT_BITS = 8
+SPECTRUM_LIMIT_BITS = SPECTRUM_LIMIT.bit_length() - 1
+POINT_LIMIT_BITS = POINT_LIMIT.bit_length() - 1
 
 _RANGE_RE = re.compile(r"(\d+)(?:\.\.(\d+))?\Z")
 
@@ -33,7 +33,7 @@ class RunConfig:
     command: str
     field_spec: str | None = None
     f_text: str | None = None
-    n_range: list[int] | None = None
+    n_range: range | None = None
     output: str = "json"
     worker_count: int = 1
     kind: str | None = None
@@ -42,7 +42,7 @@ class RunConfig:
     t: int | None = None
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     m = _RANGE_RE.fullmatch(text.strip())
     if not m:
         raise ValidationError(f"bad range {text!r}; expected N or A..B")
@@ -50,7 +50,7 @@ def _parse_n_range(text: str) -> list[int]:
     hi = int(m.group(2)) if m.group(2) else lo
     if hi < lo:
         raise ValidationError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _field_json(ctx: FieldCtx) -> dict:

@@ -11,7 +11,6 @@ cube map through an explicit bijective linearized quartic witness.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .apn import classify_exponent, spectrum, GOLD, KASAMI, NOT_EXCEPTIONAL
@@ -254,6 +253,10 @@ def cubic_divisor_search(
     if workers > 1 and len(cands) > workers:
         step = (len(cands) + workers - 1) // workers
         chunks = [cands[i : i + step] for i in range(0, len(cands), step)]
+        # imported here: the process-pool modules cost ~1 MB and import time
+        # in every process that never searches with workers > 1
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(_search_chunk, *zip(*[(ctx_key, phi_terms, ch) for ch in chunks]))

@@ -148,6 +148,9 @@ class FieldCtx:
         q = self.order
         exp = [0] * (2 * (q - 1))
         log = [0] * q
+        # exp and log hold the same values 0..q-1, so they share one int
+        # object per value instead of holding two copies of each
+        ints = list(range(q))
         if self.degree == 1:
             exp[0] = 1
         else:
@@ -160,8 +163,8 @@ class FieldCtx:
                         ok = False
                         break
                     seen[e] = True
-                    exp[k] = e
-                    log[e] = k
+                    exp[k] = ints[e]
+                    log[e] = ints[k]
                     e = self._mul_raw(e, g)
                 if ok and e == 1:
                     break
@@ -170,16 +173,13 @@ class FieldCtx:
         for k in range(q - 1):
             exp[k + q - 1] = exp[k]
         # numpy mirrors for whole-field vector work: log of zero becomes a
-        # sentinel big enough that any sum of up to four logs involving it
-        # lands in the zero-filled tail of the extended exp table
-        sentinel = 4 * (q - 1)
-        log_np = np.empty(q, dtype=np.int64)
+        # sentinel big enough that a sum of two logs involving it lands in
+        # the zero-filled tail of the extended exp table
+        sentinel = 2 * (q - 1)
+        log_np = np.array(log, dtype=np.int64)
         log_np[0] = sentinel
-        for v in range(1, q):
-            log_np[v] = log[v]
-        exp_ext = np.zeros(16 * (q - 1) + 1, dtype=np.int64)
-        for t in range(sentinel):
-            exp_ext[t] = exp[t % (q - 1)]
+        exp_ext = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+        exp_ext[:sentinel] = exp
         object.__setattr__(self, "_exp", exp)
         object.__setattr__(self, "_log", log)
         object.__setattr__(self, "_log_np", log_np)

@@ -15,6 +15,7 @@ from apnforge import (
     classify_exponent,
     compose,
     eval_table,
+    find_embedding,
     is_apn,
     is_apn_over_extension,
     make_field,
@@ -22,12 +23,15 @@ from apnforge import (
     spectrum,
     surface_point_check,
 )
+from apnforge.apn import _directions
 from apnforge.errors import FieldTooLarge
 from conftest import random_poly, random_q_affine
 
 
 def naive_spectrum(f, field):
     """O(q^2) reference: count solutions of f(x+a)+f(x)=b per (a, b)."""
+    if f.ctx != field:
+        f = f.embed(find_embedding(f.ctx, field))
     table = [f.eval(x) for x in field.elements()]
     counts = Counter()
     q = field.order
@@ -116,6 +120,69 @@ def test_spectrum_worker_determinism(g16):
     base = spectrum(f, g16, workers=1).histogram
     for w in (2, 3, 8):
         assert spectrum(f, g16, workers=w).histogram == base
+
+
+def _subfield_elements(ctx, s):
+    return [c for c in range(ctx.order) if ctx.frob(c, s) == c]
+
+
+def _symmetry_cases(g2, g4, g16):
+    """(name, f, field) covering every direction choice of _directions."""
+    g64, g256 = make_field(6), make_field(8)
+    f4 = _subfield_elements(g16, 2)
+    assert len(f4) == 4
+    w = max(f4)  # a generator of F_4 inside GF(16)
+    return [
+        ("c*x^d, c != 1", UniPoly.monomial(g256, 7, 0x53), g256),
+        ("c*x^d, c != 1, d even", UniPoly.monomial(g256, 12, 0xCA), g256),
+        ("gf2 coeffs over 2^6", parse_poly("x^12 + x^6 + x^3 + x", g2), g64),
+        ("gf2 coeffs over 2^8", parse_poly("x^9 + x^5 + x^3 + 1", g2), g256),
+        ("gf4 coeffs over 2^6", parse_poly("0x2*x^6 + x^5 + 0x3*x^3", g4), g64),
+        ("F_4 coeffs in gf16", UniPoly.from_pairs(g16, {7: w, 5: 1, 3: w ^ 1, 0: w}), g16),
+        ("dense", UniPoly.from_pairs(g64, {9: 0x2B, 6: 0x11, 5: 1, 3: 0x3E}), g64),
+        ("zero", UniPoly.zero(g16), g16),
+        ("constant", UniPoly.from_pairs(g256, {0: 0x9D}), g256),
+    ]
+
+
+def test_symmetry_directions_match_naive(g2, g4, g16):
+    for name, f, field in _symmetry_cases(g2, g4, g16):
+        expected = naive_spectrum(f, field)
+        for workers in (1, 2, 3):
+            sp = spectrum(f, field, workers=workers)
+            assert sp.histogram == expected, (name, workers)
+            assert is_apn(f, field, workers=workers) == (sp.uniformity == 2), (name, workers)
+
+
+def test_directions_use_the_symmetry(g2, g16):
+    def pick(f, field):
+        coeffs = f.coeffs if f.ctx == field else f.embed(find_embedding(f.ctx, field)).coeffs
+        directions, weights = _directions(coeffs, field)
+        assert int(weights.sum()) == field.order - 1
+        assert len(set(directions.tolist())) == len(directions)
+        return directions.tolist()
+
+    g256 = make_field(8)
+    assert pick(UniPoly.monomial(g256, 7, 0x53), g256) == [1]
+    # GF(2) coefficients: one direction per orbit of squaring
+    assert len(pick(parse_poly("x^12 + x^6 + x^3", g2), make_field(14))) == 1181
+    # F_4 coefficients in GF(16): 3 fixed points of a -> a^4, 6 orbits of two
+    w = max(_subfield_elements(g16, 2))
+    assert len(pick(UniPoly.from_pairs(g16, {7: w, 5: 1}), g16)) == 9
+    # a coefficient outside every proper subfield: all q-1 directions
+    assert pick(UniPoly.from_pairs(g16, {5: 0x2, 3: 1}), g16) == list(range(1, 16))
+
+
+def test_is_apn_early_exit_agrees_with_uniformity(g2):
+    rng = random.Random(17)
+    g64 = make_field(6)
+    verdicts = set()
+    for i in range(60):
+        f = random_poly(rng, g64 if i % 2 else g2, 12)
+        verdict = is_apn(f, g64)
+        assert verdict == (spectrum(f, g64).uniformity == 2)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_spectrum_field_cap(g2):

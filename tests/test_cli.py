@@ -79,6 +79,15 @@ def test_apn_range_validated_before_dispatch(capsys):
     assert "FieldTooLarge" in err
 
 
+def test_apn_huge_range_rejected_without_materialising(capsys):
+    code, out, err = run_cli(
+        capsys, "apn", "--field", "gf(2^1)", "--f", "x^3", "--n", "1..1000000000000"
+    )
+    assert code == 2
+    assert "FieldTooLarge" in err
+    assert out == ""
+
+
 def test_classify12_witness(capsys, g2):
     rep = run_json(capsys, "classify12", "--field", "gf(2^1)", "--f", "x^12+x^6+x^3")
     w = rep["witness"]

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -161,6 +162,15 @@ def test_exp_log_tables_match_raw():
     for a in (0x03, 0x53, 0xCA):
         for b in (0x01, 0x8F, 0xF0):
             assert ctx.mul(a, b) == ctx._mul_raw(a, b)
+
+
+def test_vec_mul_matches_scalar_mul_all_pairs():
+    # zeros included: the zero-log sentinel must land in the zero tail
+    for m in range(1, 9):
+        ctx = make_field(m)
+        a, b = (arr.ravel() for arr in np.meshgrid(np.arange(ctx.order), np.arange(ctx.order)))
+        got = ctx.vec_mul(a, b).tolist()
+        assert got == [ctx.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
 
 
 def test_large_field_skips_tables():
