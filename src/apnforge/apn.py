@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldTooLarge
+from .errors import FieldTooLarge, NotPositive
 from .fields import Felt, FieldCtx, find_embedding, make_field
 from .unipoly import UniPoly, eval_table
 
@@ -145,7 +145,7 @@ def is_apn(f: UniPoly, field: FieldCtx, workers: int = 1) -> bool:
 def is_apn_over_extension(f: UniPoly, n: int) -> bool:
     """APN verdict for f lifted to the degree-n extension of its field."""
     if n < 1:
-        raise ValueError(f"extension degree must be positive, got {n}")
+        raise NotPositive(f"extension degree must be positive, got {n}")
     m = f.ctx.degree * n
     if 1 << m > SPECTRUM_LIMIT:
         raise FieldTooLarge(f"extension gf(2^{m}) exceeds the spectrum cap 2^14")
@@ -156,7 +156,7 @@ def classify_exponent(t: int) -> ExponentClass:
     """Gold exponents 2^k+1 (k >= 1), Kasami exponents 4^k-2^k+1 (k >= 2;
     k = 2 gives 13, and 3 is classed as GOLD with k = 1)."""
     if t < 1:
-        raise ValueError(f"exponent must be positive, got {t}")
+        raise NotPositive(f"exponent must be positive, got {t}")
     k = 1
     while (1 << k) + 1 <= t:
         if (1 << k) + 1 == t:

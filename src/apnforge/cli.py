@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -190,10 +191,7 @@ def _cmd_divisors(config: RunConfig) -> dict:
         "extension_field": _field_json(result.field),
         "f": f.to_text(),
         "mode": result.mode,
-        "divisors": [
-            {"c1": p.c1.hex(), "c4": p.c4.hex(), "b1": p.b1.hex(), "d": p.d.hex()}
-            for p in result.divisors
-        ],
+        "divisors": [criteria.divisor_json(p) for p in result.divisors],
     }
 
 
@@ -269,6 +267,9 @@ def run(config: RunConfig, out=None) -> int:
         raise ValidationError("CSV output is only available for spectrum")
     if config.worker_count < 1:
         raise ValidationError("workers must be positive")
+    cpus = os.cpu_count() or 1
+    if config.worker_count > cpus:
+        raise ValidationError(f"workers must be at most the CPU count {cpus}")
     report = _DISPATCH[config.command](config)
     if config.output == "json":
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

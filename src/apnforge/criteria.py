@@ -21,9 +21,12 @@ from .errors import (
     DegreeOutOfRange,
     DegreeShapeMismatch,
     DegreeTooSmall,
+    InvariantViolation,
     NotQAffine,
     SearchSpaceTooLarge,
     TraceNotZero,
+    UnknownFamilyKind,
+    UnknownSearchMode,
 )
 from .fields import (
     Embedding,
@@ -31,8 +34,10 @@ from .fields import (
     FieldCtx,
     find_embedding,
     frobenius,
+    linear_kernel,
     make_field,
     rel_trace,
+    span,
     trace_zero_elements,
 )
 from .phi import build_phi
@@ -236,7 +241,7 @@ def cubic_divisor_search(
     if mode == CONSTRAINED and k > 3:
         raise SearchSpaceTooLarge("CONSTRAINED scan supports q up to 2^3")
     if mode not in (FULL, CONSTRAINED):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise UnknownSearchMode(f"unknown mode {mode!r}")
     big = make_field(3 * k)
     emb = find_embedding(f.ctx, big)
     phi = build_phi(f).poly.embed(emb)
@@ -312,7 +317,7 @@ def family_phi_closed(beta: Felt, gamma: Felt, kind: str, ctx: FieldCtx) -> TriP
             out = out + TriPoly.constant(ctx, g.bits)
         return out
     if kind != CUBE_OF_L:
-        raise ValueError(f"unknown family kind {kind!r}")
+        raise UnknownFamilyKind(f"unknown family kind {kind!r}")
     m = symmetric_quadratic(ctx)
     out = a ** 3
     out = out + scale(a * m ** 2, b)
@@ -328,7 +333,7 @@ def family_phi_closed(beta: Felt, gamma: Felt, kind: str, ctx: FieldCtx) -> TriP
 def family_phi_product(param: Felt, kind: str) -> TriPoly:
     """phi of the family member as an explicit product over the orbit of the
     trace-zero parameter u: factors A + u*M + u^3 for CUBE_OF_L and A + u
-    for L_OF_CUBE. Asserted equal to the closed form before returning."""
+    for L_OF_CUBE. Checked equal to the closed form before returning."""
     ctx3 = param.ctx
     if ctx3.degree % 3 != 0:
         raise DegreeNotMultipleOfThree(f"{ctx3.spec()} is not a cubic extension")
@@ -351,10 +356,11 @@ def family_phi_product(param: Felt, kind: str) -> TriPoly:
             if u.bits:
                 factor = factor + TriPoly.constant(ctx3, u.bits)
         else:
-            raise ValueError(f"unknown family kind {kind!r}")
+            raise UnknownFamilyKind(f"unknown family kind {kind!r}")
         acc = acc * factor
     beta, gamma = _orbit_sym(param, k)
-    assert acc == family_phi_closed(beta, gamma, kind, ctx3), "product/closed-form mismatch"
+    if acc != family_phi_closed(beta, gamma, kind, ctx3):
+        raise InvariantViolation("product/closed-form mismatch")
     return acc
 
 
@@ -366,27 +372,65 @@ def _build_witness(
     beta = emb.pull_back(beta3)
     gamma = emb.pull_back(gamma3)
     quartic = linearized_quartic(param, base)
-    assert is_bijective_on(quartic, base), "witness quartic is not a permutation of F_q"
+    if not is_bijective_on(quartic, base):
+        raise InvariantViolation("witness quartic is not a permutation of F_q")
     cube = UniPoly.monomial(base, 3)
     if kind == CUBE_OF_L:
         tail = UniPoly.from_pairs(
             base, {8: (beta * beta).bits, 4: (beta * gamma * gamma).bits}
         )
-        assert f == compose(cube, quartic) + tail + l1, "reconstruction failed"
+        rebuilt = compose(cube, quartic) + tail + l1
     else:
-        assert f == compose(quartic, cube) + l1, "reconstruction failed"
+        rebuilt = compose(quartic, cube) + l1
+    if f != rebuilt:
+        raise InvariantViolation(f"{kind} witness does not reconstruct f")
     orbit = tuple(sorted({frobenius(param, i * k) for i in (0, 1, 2)}))
     return Deg12Witness(kind, param, beta, gamma, quartic, l1, orbit)
+
+
+# phi's coefficients that carry the family parameters: (kind, beta monomial,
+# gamma monomial). In the CUBE_OF_L closed form only beta*A*M^2 reaches
+# x^6*y and only gamma*M^3 reaches x^6; in L_OF_CUBE, A^3 + beta*A + gamma,
+# beta is the x^2*y coefficient and gamma the constant term.
+_FAMILY_COEFFS = (
+    (CUBE_OF_L, (6, 1, 0), (6, 0, 0)),
+    (L_OF_CUBE, (2, 1, 0), (0, 0, 0)),
+)
+
+
+def _lowest_param(beta: Felt, gamma: Felt, emb: Embedding) -> Felt | None:
+    """Lowest nonzero trace-zero root in F_(q^3) of x^4 + beta*x^2 + gamma*x.
+
+    The roots form the F_2-linear kernel of that map, at most 4 elements; a
+    trace-zero parameter u with orbit symmetric functions (beta, gamma) makes
+    the kernel {0, u, u^q, u^(q^2)}. None when no nonzero root has zero
+    relative trace."""
+    big = emb.target
+    k = emb.source.degree
+    b = emb.apply(beta).bits
+    g = emb.apply(gamma).bits
+    mul = big.mul
+
+    def quartic(x: int) -> int:
+        x2 = mul(x, x)
+        return mul(x2, x2) ^ mul(b, x2) ^ mul(g, x)
+
+    for bits in span(linear_kernel(big, quartic)):
+        if bits and rel_trace(Felt(bits, big), k).bits == 0:
+            return Felt(bits, big)
+    return None
 
 
 def deg12_classify(f: UniPoly) -> Deg12Witness:
     """Decide whether a degree-12 polynomial belongs to the family.
 
-    Scans the q^2 trace-zero parameters of F_(q^3): first the c != 0 branch
-    (phi equals the CUBE_OF_L closed form), then the d branch including 0
-    (phi equals A^3 + beta*A + gamma). The reported parameter is the lowest
-    member of its Frobenius orbit; witness invariants (reconstruction and
-    bijectivity of the quartic on F_q) are verified before returning."""
+    Solves rather than scans: for CUBE_OF_L, then L_OF_CUBE, reads beta and
+    gamma off phi's coefficients, compares the one closed form with phi, and
+    recovers the parameter as the lowest nonzero trace-zero root in F_(q^3)
+    of x^4 + beta*x^2 + gamma*x, the lowest member of its Frobenius orbit.
+    L_OF_CUBE with beta = gamma = 0 (phi = A^3) takes parameter 0. Witness
+    invariants (reconstruction and bijectivity of the quartic on F_q) are
+    verified before returning."""
     if f.degree != 12:
         raise DegreeNot12(f"classifier needs degree 12, got {f.degree}")
     base = f.ctx
@@ -395,21 +439,16 @@ def deg12_classify(f: UniPoly) -> Deg12Witness:
     emb = find_embedding(base, big)
     l1 = split_q_affine(f).affine
     phi = build_phi(f).poly
-    tz = sorted(e.bits for e in trace_zero_elements(big, k))
-    for bits in tz:
-        if bits == 0:
+    for kind, beta_mono, gamma_mono in _FAMILY_COEFFS:
+        beta = phi.coefficient(beta_mono)
+        gamma = phi.coefficient(gamma_mono)
+        if family_phi_closed(beta, gamma, kind, base) != phi:
             continue
-        c = Felt(bits, big)
-        beta3, gamma3 = _orbit_sym(c, k)
-        closed = family_phi_closed(emb.pull_back(beta3), emb.pull_back(gamma3), CUBE_OF_L, base)
-        if closed == phi:
-            return _build_witness(CUBE_OF_L, c, base, emb, f, l1)
-    for bits in tz:
-        dparam = Felt(bits, big)
-        beta3, gamma3 = _orbit_sym(dparam, k)
-        closed = family_phi_closed(emb.pull_back(beta3), emb.pull_back(gamma3), L_OF_CUBE, base)
-        if closed == phi:
-            return _build_witness(L_OF_CUBE, dparam, base, emb, f, l1)
+        if kind == L_OF_CUBE and not beta and not gamma:
+            return _build_witness(kind, big.zero, base, emb, f, l1)
+        param = _lowest_param(beta, gamma, emb)
+        if param is not None:
+            return _build_witness(kind, param, base, emb, f, l1)
     return Deg12Witness(NOT_IN_FAMILY, None, None, None, None, l1, None)
 
 
@@ -420,7 +459,7 @@ def family_generate(
     L(x^3) + L1 for L_OF_CUBE, L the linearized quartic of the trace-zero
     parameter. All coefficients lie in F_q by construction."""
     if kind not in (CUBE_OF_L, L_OF_CUBE):
-        raise ValueError(f"unknown family kind {kind!r}")
+        raise UnknownFamilyKind(f"unknown family kind {kind!r}")
     quartic = linearized_quartic(param, base)
     base = quartic.ctx
     if l1 is not None:
@@ -458,10 +497,7 @@ def exceptionality_report(f: UniPoly, n_range=None, workers: int = 1) -> dict:
         result = cubic_divisor_search(f, workers=workers)
         report["divisor_search"] = {
             "mode": result.mode,
-            "divisors": [
-                {"c1": p.c1.hex(), "c4": p.c4.hex(), "b1": p.b1.hex(), "d": p.d.hex()}
-                for p in result.divisors
-            ],
+            "divisors": [divisor_json(p) for p in result.divisors],
         }
         if result.divisors:
             report["conclusion"] = "inconclusive: phi admits a cubic divisor"
@@ -495,3 +531,7 @@ def witness_json(w: Deg12Witness) -> dict:
         "L1": w.L1.to_text(),
         "orbit": [p.hex() for p in w.orbit] if w.orbit is not None else None,
     }
+
+
+def divisor_json(p: DivisorParams) -> dict:
+    return {"c1": p.c1.hex(), "c4": p.c4.hex(), "b1": p.b1.hex(), "d": p.d.hex()}

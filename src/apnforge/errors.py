@@ -69,6 +69,18 @@ class DivisionByZero(ValidationError, ZeroDivisionError):
     """Division by the zero polynomial."""
 
 
+class UnknownFamilyKind(ValidationError, ValueError):
+    """Degree-12 family kind is neither CUBE_OF_L nor L_OF_CUBE."""
+
+
+class UnknownSearchMode(ValidationError, ValueError):
+    """Divisor search mode is neither FULL nor CONSTRAINED."""
+
+
+class NotPositive(ValidationError, ValueError):
+    """An exponent or extension degree that must be positive is not."""
+
+
 class PolySyntaxError(ValidationError):
     """Text form could not be parsed; carries the offending position."""
 
@@ -88,3 +100,9 @@ class NoRoot(InternalError):
 
 class InternalNonExactDivision(InternalError):
     """The quotient construction produced a nonzero remainder; must never fire."""
+
+
+class InvariantViolation(InternalError):
+    """A result failed its own verification (a witness that does not rebuild
+    f, a quartic that is not a permutation, a product that disagrees with its
+    closed form). Raised rather than asserted so the check survives python -O."""

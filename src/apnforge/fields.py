@@ -14,6 +14,8 @@ image is the lowest root of the source modulus in the target field.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
+from operator import xor
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .errors import (
     DegreeNotMultipleOfThree,
     DegreeOutOfRange,
     DivisionByZero,
+    InvariantViolation,
     NoRoot,
     PolySyntaxError,
     ReducibleModulus,
@@ -239,7 +242,8 @@ class FieldCtx:
 
     def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise field product of bit-pattern arrays (table fields only)."""
-        assert self.has_tables
+        if not self.has_tables:
+            raise InvariantViolation(f"vec_mul needs exp/log tables, {self.spec()} has none")
         return self._exp_ext[self._log_np[a] + self._log_np[b]]
 
     # element plumbing ---------------------------------------------------
@@ -347,17 +351,52 @@ def rel_trace(x: Felt, q_degree: int) -> Felt:
     return Felt(b ^ x.ctx.frob(b, q_degree) ^ x.ctx.frob(b, 2 * q_degree), x.ctx)
 
 
+def linear_kernel(ctx: FieldCtx, fn) -> list[int]:
+    """Basis of the kernel of an F_2-linear map fn on the bit patterns of
+    ctx, found by Gaussian elimination on the images of the basis vectors
+    2^i. The basis is in reduced echelon form (ascending top bits, each top
+    bit set in no other vector), so span() lists the kernel in ascending
+    order: a kernel vector is 2^i plus the combinations of pivot rows, which
+    never include another kernel vector's bit."""
+    pivots: dict[int, tuple[int, int]] = {}
+    basis: list[int] = []
+    for i in range(ctx.degree):
+        image, combo = fn(1 << i), 1 << i
+        while image:
+            top = image.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = (image, combo)
+                break
+            image ^= pivot[0]
+            combo ^= pivot[1]
+        else:
+            basis.append(combo)
+    return basis
+
+
+def span(basis: list[int]):
+    """Every XOR combination of basis, in binary counting order: ascending
+    for a basis from linear_kernel. Yields lazily, one XOR per element."""
+    prefix = list(accumulate(basis, xor))
+    x = 0
+    yield x
+    for j in range(1, 1 << len(basis)):
+        # counting j-1 -> j flips bits 0..t, t the lowest set bit of j
+        x ^= prefix[(j & -j).bit_length() - 1]
+        yield x
+
+
 def trace_zero_elements(ctx3: FieldCtx, q_degree: int) -> set[Felt]:
-    """Kernel of the relative trace in F_(q^3); always of size q^2."""
+    """Kernel of the relative trace x + x^q + x^(q^2) in F_(q^3); always of
+    size q^2."""
     if ctx3.degree != 3 * q_degree:
         raise DegreeNotMultipleOfThree(
             f"gf(2^{ctx3.degree}) is not a cubic extension of gf(2^{q_degree})"
         )
-    out = set()
-    for bits in range(ctx3.order):
-        if bits ^ ctx3.frob(bits, q_degree) ^ ctx3.frob(bits, 2 * q_degree) == 0:
-            out.add(Felt(bits, ctx3))
-    return out
+    frob = ctx3.frob
+    basis = linear_kernel(ctx3, lambda b: b ^ frob(b, q_degree) ^ frob(b, 2 * q_degree))
+    return {Felt(bits, ctx3) for bits in span(basis)}
 
 
 class Embedding:
@@ -407,21 +446,32 @@ class Embedding:
             ) from None
 
 
+_EMBEDDING_CACHE: dict[tuple[FieldCtx, FieldCtx], Embedding] = {}
+
+
 def find_embedding(source: FieldCtx, target: FieldCtx) -> Embedding:
     """Embedding sending the source generator to the lowest root of the
-    source modulus in the target field."""
+    source modulus in the target field. Every root lies in the subfield
+    F_(2^k) of the target, k = source degree, which is the kernel of
+    x -> x^(2^k) + x; only its 2^k elements are tried, in ascending order.
+    Memoised per (source, target), like make_field."""
     if target.degree % source.degree != 0:
         raise DegreeMismatch(
             f"gf(2^{source.degree}) does not embed in gf(2^{target.degree})"
         )
+    key = (source, target)
+    emb = _EMBEDDING_CACHE.get(key)
+    if emb is not None:
+        return emb
+    k = source.degree
     mod = source.modulus
     exps = [i for i in range(mod.bit_length()) if (mod >> i) & 1]
-    for cand in range(target.order):
+    for cand in span(linear_kernel(target, lambda b: target.frob(b, k) ^ b)):
         acc = 0
         for e in exps:
             acc ^= target.pow(cand, e)
         if acc == 0:
-            return Embedding(source, target, Felt(cand, target))
+            return _EMBEDDING_CACHE.setdefault(key, Embedding(source, target, Felt(cand, target)))
     raise NoRoot(
         f"no root of 0x{mod:x} in gf(2^{target.degree})"
     )  # pragma: no cover - impossible when degrees divide

@@ -19,6 +19,7 @@ from .errors import (
     DegreeNotMultipleOfThree,
     DegreeOutOfRange,
     FieldTooLarge,
+    InvariantViolation,
     PolySyntaxError,
     TraceNotZero,
     UnknownCoefficient,
@@ -248,7 +249,8 @@ def linearized_quartic(c: Felt, base: FieldCtx | None = None) -> UniPoly:
     quartic = UniPoly.from_pairs(base, {4: 1, 2: beta.bits, 1: gamma.bits})
     lifted = quartic.embed(emb)
     for root in (ctx3.zero, c, cq, cq2):
-        assert lifted.eval(root).bits == 0, "parameter orbit is not the root set"
+        if lifted.eval(root).bits != 0:
+            raise InvariantViolation("parameter orbit is not the root set")
     return quartic
 
 

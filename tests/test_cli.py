@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: report shapes, exit codes, determinism."""
 
 import json
+import os
+import time
 
 import pytest
 
-from apnforge import build_phi, family_generate, make_field, parse_poly, parse_tri
+from apnforge import build_phi, family_generate, frobenius, make_field, parse_poly, parse_tri
 from apnforge.cli import main
 
 
@@ -102,6 +104,22 @@ def test_classify12_non_member(capsys):
     rep = run_json(capsys, "classify12", "--field", "gf(2^1)", "--f", "x^12+x^5")
     assert rep["witness"]["kind"] == "NOT_IN_FAMILY"
     assert rep["witness"]["param"] is None
+
+
+def test_classify12_gf256_within_budget(capsys):
+    base, big = make_field(8), make_field(24)
+    x = big.element(0x2)
+    param = x + frobenius(x, 8)  # Tr(x + x^q) = 2 Tr(x) = 0
+    member = family_generate("CUBE_OF_L", param, parse_poly("0x3*x^4 + x", base))
+    for f, kind in ((member, "CUBE_OF_L"), (parse_poly("x^12 + x^5 + 0x7*x^3", base), "NOT_IN_FAMILY")):
+        t0 = time.perf_counter()
+        rep = run_json(capsys, "classify12", "--field", "gf(2^8)", "--f", f.to_text())
+        elapsed = time.perf_counter() - t0
+        w = rep["witness"]
+        assert w["kind"] == kind
+        if kind != "NOT_IN_FAMILY":
+            assert param.hex() in w["orbit"] and w["param"] == w["orbit"][0]
+        assert elapsed < 5.0, f"classify12 over gf(2^8) took {elapsed:.2f}s"
 
 
 def test_gen12_round_trips(capsys, g2, g8):
@@ -207,7 +225,16 @@ def test_zero_workers_exits_2(capsys):
     assert code == 2
 
 
-def test_worker_count_does_not_change_bytes(capsys):
+def test_huge_worker_count_exits_2(capsys):
+    # a command with no worker path, so nothing could start even unchecked
+    code, _, _ = run_cli(capsys, "field", "--field", "gf(2^4)", "--workers", str(10**12))
+    assert code == 2
+
+
+def test_worker_count_does_not_change_bytes(capsys, monkeypatch):
+    # worker counts above the host's CPU count are refused; pretend to have
+    # eight so the 5- and 3-worker chunkings run on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     base = None
     for w in ("1", "2", "5"):
         code, out, _ = run_cli(

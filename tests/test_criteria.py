@@ -1,10 +1,14 @@
 """Exceptionality verdicts, the cubic divisor search, and the degree-12
 family classifier/generator."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import apnforge
 from apnforge import (
     CONSTRAINED,
     CUBE_OF_L,
@@ -22,6 +26,7 @@ from apnforge import (
     UniPoly,
     applicable_theorem,
     build_phi,
+    classify_exponent,
     compose,
     cubic_divisor_search,
     deg12_classify,
@@ -41,7 +46,13 @@ from apnforge import (
     split_q_affine,
     trace_zero_elements,
 )
-from apnforge.criteria import DivisorParams, _orbit_sym
+from apnforge.criteria import (
+    Deg12Witness,
+    DivisorParams,
+    _build_witness,
+    _orbit_sym,
+    witness_json,
+)
 from apnforge.errors import (
     ContextMismatch,
     DegreeNot12,
@@ -50,8 +61,11 @@ from apnforge.errors import (
     DegreeTooSmall,
     NotQAffine,
     SearchSpaceTooLarge,
+    UnknownFamilyKind,
+    UnknownSearchMode,
+    ValidationError,
 )
-from conftest import random_q_affine
+from conftest import random_poly, random_q_affine
 
 
 # verdict dispatch -----------------------------------------------------------
@@ -233,6 +247,50 @@ def test_generate_validation(g2, g8, g16):
         family_generate("OTHER", alpha)
 
 
+def test_unknown_names_are_validation_errors(g2, g8):
+    alpha = g8.element(0x2)
+    with pytest.raises(UnknownFamilyKind):
+        family_generate("OTHER", alpha)
+    with pytest.raises(UnknownFamilyKind):
+        family_phi_product(alpha, "OTHER")
+    with pytest.raises(UnknownFamilyKind):
+        family_phi_closed(g8.one, g8.one, "OTHER", g8)
+    with pytest.raises(UnknownSearchMode):
+        cubic_divisor_search(parse_poly("x^12 + x^6 + x^3", g2), mode="OTHER")
+    with pytest.raises(ValidationError):
+        is_apn_over_extension(parse_poly("x^3", g2), 0)
+    with pytest.raises(ValidationError):
+        classify_exponent(0)
+
+
+def test_witness_check_survives_optimize():
+    """A witness that does not rebuild f raises InvariantViolation even under
+    python -O, where assert statements are stripped."""
+    script = (
+        "import sys\n"
+        "from apnforge import UniPoly, criteria, make_field, parse_poly\n"
+        "from apnforge.errors import InvariantViolation\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "g2 = make_field(1)\n"
+        "# a permutation of F_q, but not the quartic of the parameter\n"
+        "criteria.linearized_quartic = lambda c, base: UniPoly.monomial(base, 1)\n"
+        "try:\n"
+        "    criteria.deg12_classify(parse_poly('x^12 + x^6 + x^3', g2))\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit('no InvariantViolation')\n"
+    )
+    src = os.path.dirname(os.path.dirname(apnforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "does not reconstruct f" in proc.stdout
+
+
 def test_roundtrip_every_trace_zero_param(g2, g64):
     rng = random.Random(21)
     g4 = make_field(2)
@@ -256,6 +314,55 @@ def test_roundtrip_every_trace_zero_param(g2, g64):
                         base, {8: (w.beta * w.beta).bits, 4: (w.beta * w.gamma * w.gamma).bits}
                     )
                     assert w.L1 == l1 + tail
+
+
+# scan oracle for the classifier ---------------------------------------------
+
+
+def _brute_trace_zero(big, k):
+    """Bit patterns of F_(q^3) with zero relative trace, by enumeration."""
+    return [b for b in range(big.order) if rel_trace(big.element(b), k).bits == 0]
+
+
+def scan_classify(f, tz):
+    """The classifier as a scan over the trace-zero parameters tz, ascending:
+    CUBE_OF_L over the nonzero ones first, then L_OF_CUBE including 0, each
+    compared with phi through the closed form. Reference for deg12_classify."""
+    base = f.ctx
+    k = base.degree
+    big = make_field(3 * k)
+    emb = find_embedding(base, big)
+    phi = build_phi(f).poly
+    l1 = split_q_affine(f).affine
+    for kind in (CUBE_OF_L, L_OF_CUBE):
+        for bits in tz:
+            if kind == CUBE_OF_L and not bits:
+                continue
+            c = big.element(bits)
+            beta, gamma = (emb.pull_back(s) for s in _orbit_sym(c, k))
+            if family_phi_closed(beta, gamma, kind, base) == phi:
+                return _build_witness(kind, c, base, emb, f, l1)
+    return Deg12Witness(NOT_IN_FAMILY, None, None, None, None, l1, None)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_classify_matches_scan_oracle(k):
+    rng = random.Random(300 + k)
+    base = make_field(k)
+    big = make_field(3 * k)
+    tz = _brute_trace_zero(big, k)
+    inputs = [
+        family_generate(kind, big.element(bits), random_q_affine(rng, base))
+        for bits in tz
+        for kind in (CUBE_OF_L, L_OF_CUBE)
+    ]
+    inputs += [random_poly(rng, base, 12, 12) for _ in range(20)]
+    kinds = set()
+    for f in inputs:
+        w = deg12_classify(f)
+        assert witness_json(w) == witness_json(scan_classify(f, tz)), f.to_text()
+        kinds.add(w.kind)
+    assert kinds == {CUBE_OF_L, L_OF_CUBE, NOT_IN_FAMILY}
 
 
 def test_roundtrip_param_zero_is_kind_agnostic(g2, g8):

@@ -20,6 +20,7 @@ from apnforge import (
     trace_zero_elements,
 )
 from apnforge.errors import DegreeMismatch, DegreeOutOfRange, DivisionByZero
+from apnforge.fields import linear_kernel, span
 
 
 def test_default_moduli():
@@ -103,6 +104,64 @@ def test_trace_zero_kernel_size():
     for m, k in ((3, 1), (6, 2), (9, 3)):
         ctx = make_field(m)
         assert len(trace_zero_elements(ctx, k)) == 1 << (2 * k)
+
+
+def test_trace_zero_matches_enumeration():
+    for k in (1, 2, 3):
+        ctx = make_field(3 * k)
+        brute = {b for b in range(ctx.order) if rel_trace(ctx.element(b), k).bits == 0}
+        assert {e.bits for e in trace_zero_elements(ctx, k)} == brute
+
+
+def test_linear_kernel_matches_enumeration():
+    rng = random.Random(41)
+    ctx = make_field(8)
+    dims = set()
+    for r in range(9):
+        # images of the basis vectors 2^i drawn from a span of r random
+        # vectors, so the kernel has dimension at least 8 - r
+        space = list(span([rng.getrandbits(8) for _ in range(r)]))
+        images = [rng.choice(space) for _ in range(8)]
+
+        def fn(x):
+            out = 0
+            for i in range(8):
+                if x >> i & 1:
+                    out ^= images[i]
+            return out
+
+        kernel = list(span(linear_kernel(ctx, fn)))
+        assert kernel == [x for x in range(ctx.order) if fn(x) == 0]
+        dims.add(len(kernel).bit_length() - 1)
+    assert len(dims) > 4
+
+
+def _brute_generator_image(source, target):
+    """Lowest element of target that is a root of the source modulus."""
+    mod = source.modulus
+    for cand in range(target.order):
+        acc = 0
+        for i in range(mod.bit_length()):
+            if mod >> i & 1:
+                acc ^= target.pow(cand, i)
+        if acc == 0:
+            return cand
+    raise AssertionError("no root")
+
+
+def test_embedding_matches_enumeration():
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            if n % k == 0:
+                emb = find_embedding(make_field(k), make_field(n))
+                assert emb.generator_image.bits == _brute_generator_image(
+                    make_field(k), make_field(n)
+                ), (k, n)
+
+
+def test_embedding_is_memoised(g4, g16):
+    assert find_embedding(g4, g16) is find_embedding(g4, g16)
+    assert find_embedding(g4, g16) is not find_embedding(g4, make_field(4, 0x19))
 
 
 def test_rel_trace_lands_in_subfield(g64):
