@@ -44,15 +44,6 @@ class ExponentClass:
     k: int | None
 
 
-def _thread_map(fn, chunks) -> list:
-    """fn over chunks, one thread each. concurrent.futures is imported here:
-    it costs ~1 MB and import time in processes that never use workers > 1."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        return list(pool.map(fn, chunks))
-
-
 def _directions(coeffs: tuple[int, ...], field: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     """Derivative directions a != 0 whose rows, each counted weight times,
     give the rows of every direction.
@@ -122,8 +113,13 @@ def _over_directions(kernel, f: UniPoly, field: FieldCtx, workers: int) -> list:
     workers = min(workers, len(directions))
     if workers == 1:
         return [kernel(table, directions, weights)]
+    # imported here: concurrent.futures costs ~1 MB and import time in
+    # processes that never use workers > 1
+    from concurrent.futures import ThreadPoolExecutor
+
     chunks = [(directions[w::workers], weights[w::workers]) for w in range(workers)]
-    return _thread_map(lambda ch: kernel(table, *ch), chunks)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda ch: kernel(table, *ch), chunks))
 
 
 def spectrum(f: UniPoly, field: FieldCtx, workers: int = 1) -> DiffSpectrum:
@@ -170,27 +166,27 @@ def classify_exponent(t: int) -> ExponentClass:
     return ExponentClass(NOT_EXCEPTIONAL, None)
 
 
-def _point_chunk(table: np.ndarray, xs) -> tuple[int, int, int] | None:
-    """Lex-least off-diagonal zero of f(x)+f(y)+f(z)+f(x+y+z) with x in xs
-    (ascending), or None. Off the planes the plane product is nonzero, so
-    these are exactly the off-V zeros of phi."""
+def _lex_least_zero(table: np.ndarray) -> tuple[int, int, int] | None:
+    """Lex-least zero of f(x)+f(y)+f(z)+f(x+y+z) with x, y, z pairwise
+    distinct, or None. Off the planes the plane product is nonzero, so these
+    are exactly the off-V zeros of phi. The zero set is closed under
+    permuting x, y, z, so the lex-least one is sorted and only x < y < z is
+    scanned."""
     q = len(table)
-    ys = np.arange(q, dtype=np.int64)[:, None]
-    zs = np.arange(q, dtype=np.int64)[None, :]
-    ty = table[ys]
-    tz = table[zs]
-    distinct = ys != zs
-    for x in xs:
-        s = int(table[x]) ^ ty ^ tz ^ table[x ^ ys ^ zs]
-        mask = (s == 0) & distinct & (ys != x) & (zs != x)
+    idx = np.arange(q, dtype=np.int64)
+    for x in range(q - 2):
+        ys = idx[x + 1 :, None]
+        zs = idx[None, x + 1 :]
+        s = table[x] ^ table[ys] ^ table[zs] ^ table[x ^ ys ^ zs]
+        mask = (s == 0) & (ys < zs)
         if mask.any():
             y, z = np.argwhere(mask)[0]
-            return (x, int(y), int(z))
+            return (x, x + 1 + int(y), x + 1 + int(z))
     return None
 
 
 def surface_point_check(
-    f: UniPoly, field: FieldCtx, workers: int = 1
+    f: UniPoly, field: FieldCtx
 ) -> tuple[bool, tuple[Felt, Felt, Felt] | None]:
     """Cross-validate the spectrum verdict against surface enumeration.
 
@@ -199,16 +195,9 @@ def surface_point_check(
     consistent says [no off-V zero exists] == is_apn(f, field) and witness
     is the lex-least off-V zero when f is not APN (a = x+y, b = f(x)+f(y)
     then has at least 4 solutions)."""
-    q = field.order
-    if q > POINT_LIMIT:
+    if field.order > POINT_LIMIT:
         raise FieldTooLarge(f"surface enumeration capped at 2^8, got {field.spec()}")
-    table = eval_table(f, field)
-    if workers > 1:
-        chunks = [range(w, q, workers) for w in range(workers)]
-        found = [w for w in _thread_map(lambda ch: _point_chunk(table, ch), chunks) if w]
-        point = min(found) if found else None
-    else:
-        point = _point_chunk(table, range(q))
+    point = _lex_least_zero(eval_table(f, field))
     witness = None
     if point is not None:
         witness = tuple(Felt(b, field) for b in point)

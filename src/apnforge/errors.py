@@ -49,8 +49,10 @@ class DegreeTooSmall(ValidationError):
     """Polynomial degree below the operation's minimum."""
 
 
-class DegreeShapeMismatch(ValidationError):
-    """Degree is not of the 4e shape (e odd, e = 3 mod 4) the divisor search needs."""
+class DegreeShapeMismatch(ValidationError, ValueError):
+    """Degree lacks the shape an operation needs: 4e with e = 3 mod 4 for the
+    divisor search, even and at least 4 or odd and at least 3 for the phi
+    monomial checks."""
 
 
 class SearchSpaceTooLarge(ValidationError):
@@ -78,7 +80,12 @@ class UnknownSearchMode(ValidationError, ValueError):
 
 
 class NotPositive(ValidationError, ValueError):
-    """An exponent or extension degree that must be positive is not."""
+    """An exponent or extension degree that must be positive is not, or a
+    polynomial power is negative."""
+
+
+class UnknownSubstitution(ValidationError, ValueError):
+    """Linear substitution is none of x, y, z and x+y+z."""
 
 
 class PolySyntaxError(ValidationError):

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContextMismatch, DegreeOutOfRange, DegreeTooSmall, InternalNonExactDivision
+from .errors import (
+    ContextMismatch,
+    DegreeOutOfRange,
+    DegreeShapeMismatch,
+    DegreeTooSmall,
+    InternalNonExactDivision,
+)
 from .fields import FieldCtx, make_field
 from .tripoly import (
     HomogDecomp,
@@ -66,7 +72,7 @@ def check_even_split(d: int, ctx: FieldCtx | None = None) -> bool:
     A the plane product. Compares an independent division against the
     power-and-multiply route."""
     if d % 2 != 0 or d < 4:
-        raise ValueError(f"need even d >= 4, got {d}")
+        raise DegreeShapeMismatch(f"need even d >= 4, got {d}")
     if d > MAX_POLY_DEGREE:
         raise DegreeOutOfRange(f"{d} exceeds {MAX_POLY_DEGREE}")
     if ctx is None:
@@ -86,7 +92,7 @@ def check_even_split(d: int, ctx: FieldCtx | None = None) -> bool:
 def check_odd_plane_free(r: int, ctx: FieldCtx | None = None) -> bool:
     """For odd r >= 3: true iff x+y does NOT divide phi_r (it never does)."""
     if r % 2 != 1 or r < 3:
-        raise ValueError(f"need odd r >= 3, got {r}")
+        raise DegreeShapeMismatch(f"need odd r >= 3, got {r}")
     if r > MAX_POLY_DEGREE:
         raise DegreeOutOfRange(f"{r} exceeds {MAX_POLY_DEGREE}")
     if ctx is None:

@@ -12,9 +12,16 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import ContextMismatch, DegreeOutOfRange, DivisionByZero, UnknownCoefficient
+from .errors import (
+    ContextMismatch,
+    DegreeOutOfRange,
+    DivisionByZero,
+    NotPositive,
+    UnknownCoefficient,
+    UnknownSubstitution,
+)
 from .fields import Embedding, Felt, FieldCtx
-from .unipoly import NEG_INF, UniPoly, parse_terms, _coeff_bits
+from .unipoly import NEG_INF, UniPoly, parse_terms, _coeff_bits, _felt_bits
 
 MAX_VAR_DEGREE = 64
 
@@ -33,7 +40,7 @@ class TriPoly:
         clean = {}
         if terms:
             for mono, c in terms.items():
-                bits = c.bits if isinstance(c, Felt) else int(c)
+                bits = _felt_bits(c, ctx) if isinstance(c, Felt) else int(c)
                 if not bits:
                     continue
                 if not 0 < bits < ctx.order:
@@ -110,7 +117,7 @@ class TriPoly:
 
     def __pow__(self, e: int) -> "TriPoly":
         if e < 0:
-            raise ValueError("negative polynomial power")
+            raise NotPositive("negative polynomial power")
         r = TriPoly.one(self.ctx)
         b = self
         while e:
@@ -317,7 +324,7 @@ def substitute_linear(p: UniPoly, which: str) -> TriPoly:
             terms[tuple(mono)] = p.coeffs[e]
         return TriPoly(ctx, terms)
     if which != "x+y+z":
-        raise ValueError(f"unsupported substitution {which!r}")
+        raise UnknownSubstitution(f"unsupported substitution {which!r}")
     s = TriPoly(ctx, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
     cache: dict[int, TriPoly] = {0: TriPoly.one(ctx)}
 

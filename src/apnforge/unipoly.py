@@ -20,6 +20,7 @@ from .errors import (
     DegreeOutOfRange,
     FieldTooLarge,
     InvariantViolation,
+    NotPositive,
     PolySyntaxError,
     TraceNotZero,
     UnknownCoefficient,
@@ -31,13 +32,20 @@ MAX_POLY_DEGREE = 64
 NEG_INF = float("-inf")
 
 
+def _felt_bits(c: Felt, ctx: FieldCtx) -> int:
+    """Bit pattern of a Felt coefficient, which must belong to ctx."""
+    if c.ctx != ctx:
+        raise ContextMismatch(f"coefficient from {c.ctx.spec()} in a {ctx.spec()} polynomial")
+    return c.bits
+
+
 class UniPoly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs=()):
         cs = []
         for c in coeffs:
-            bits = c.bits if isinstance(c, Felt) else int(c)
+            bits = _felt_bits(c, ctx) if isinstance(c, Felt) else int(c)
             if not 0 <= bits < ctx.order:
                 raise UnknownCoefficient(f"0x{bits:x} outside {ctx.spec()}")
             cs.append(bits)
@@ -69,7 +77,7 @@ class UniPoly:
             raise DegreeOutOfRange(f"degree {top} exceeds {MAX_POLY_DEGREE}")
         cs = [0] * (top + 1)
         for e, c in pairs.items():
-            cs[e] ^= c.bits if isinstance(c, Felt) else int(c)
+            cs[e] ^= _felt_bits(c, ctx) if isinstance(c, Felt) else int(c)
         return cls(ctx, cs)
 
     @property
@@ -117,7 +125,7 @@ class UniPoly:
 
     def __pow__(self, e: int) -> "UniPoly":
         if e < 0:
-            raise ValueError("negative polynomial power")
+            raise NotPositive("negative polynomial power")
         r = UniPoly.one(self.ctx)
         b = self
         while e:

@@ -224,12 +224,36 @@ def test_surface_check_consistency(g8, g16):
                 assert f.eval(x) + f.eval(y) + f.eval(z) + f.eval(w) == ctx.zero
 
 
-def test_surface_witness_is_lex_min(g8):
-    f = parse_poly("x^4 + x^3", g8)  # not APN on GF(8)? check both branches
-    consistent, witness = surface_point_check(f, g8)
-    assert consistent
-    again = surface_point_check(f, g8, workers=4)
-    assert again == (consistent, witness)
+def brute_force_witness(f, field):
+    """Lex-least (x, y, z), pairwise distinct, with f(x)+f(y)+f(z)+f(x+y+z)
+    = 0, by scanning every ordered triple; None when there is none."""
+    vals = [f.eval(x).bits for x in field.elements()]
+    q = field.order
+    for x in range(q):
+        for y in range(q):
+            for z in range(q):
+                if len({x, y, z}) == 3 and not vals[x] ^ vals[y] ^ vals[z] ^ vals[x ^ y ^ z]:
+                    return (x, y, z)
+    return None
+
+
+def test_surface_witness_is_lex_min():
+    rng = random.Random(27)
+    cases = []
+    for m in (2, 3, 4):
+        field = make_field(m)
+        cases.append((parse_poly("x^3", field), field))  # APN: no witness
+        cases.append((parse_poly("x^5 + x^3", field), field))
+        cases += [(random_poly(rng, field, 12), field) for _ in range(4)]
+    found = 0
+    for f, field in cases:
+        consistent, witness = surface_point_check(f, field)
+        assert consistent
+        expected = brute_force_witness(f, field)
+        got = None if witness is None else tuple(w.bits for w in witness)
+        assert got == expected, (f.to_text(), field.spec())
+        found += expected is not None
+    assert 0 < found < len(cases)
 
 
 def test_surface_check_cap(g2):

@@ -1,0 +1,30 @@
+"""What the benchmark harness in perfbench/ needs from the library: every
+function its tracer wraps still exists, and the spectrum entry points still
+take a worker count."""
+
+import importlib.util
+from pathlib import Path
+
+from apnforge import is_apn, parse_poly, spectrum
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve():
+    targets = _load_tracer().targets()
+    assert targets
+    for owner, attr, name, _ in targets:
+        assert callable(getattr(owner, attr, None)), (owner, attr, name)
+
+
+def test_spectrum_entry_points_take_workers(g16):
+    f = parse_poly("x^6 + x^3", g16)
+    assert spectrum(f, g16, workers=2) == spectrum(f, g16)
+    assert is_apn(f, g16, workers=2) == is_apn(f, g16)

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from apnforge import build_phi, family_generate, frobenius, make_field, parse_poly, parse_tri
-from apnforge.cli import main
+from apnforge.cli import _DISPATCH, main
 
 
 def run_cli(capsys, *argv):
@@ -226,14 +226,32 @@ def test_zero_workers_exits_2(capsys):
 
 
 def test_huge_worker_count_exits_2(capsys):
-    # a command with no worker path, so nothing could start even unchecked
-    code, _, _ = run_cli(capsys, "field", "--field", "gf(2^4)", "--workers", str(10**12))
+    # a monomial spectrum runs one direction, so at most one thread could
+    # start even if the count went unchecked
+    code, _, _ = run_cli(
+        capsys, "spectrum", "--field", "gf(2^4)", "--f", "x^3", "--workers", str(10**12)
+    )
     assert code == 2
+
+
+def test_workers_only_on_spectrum_and_apn(capsys):
+    for argv in (
+        ["divisors", "--field", "gf(2^1)", "--f", "x^12+x^6+x^3"],
+        ["points", "--field", "gf(2^4)", "--f", "x^5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", "2"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    for command in _DISPATCH:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert ("--workers" in capsys.readouterr().out) == (command in ("spectrum", "apn"))
 
 
 def test_worker_count_does_not_change_bytes(capsys, monkeypatch):
     # worker counts above the host's CPU count are refused; pretend to have
-    # eight so the 5- and 3-worker chunkings run on any host
+    # eight so the 5-worker chunking runs on any host
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     base = None
     for w in ("1", "2", "5"):
@@ -243,15 +261,6 @@ def test_worker_count_does_not_change_bytes(capsys, monkeypatch):
         )
         assert code == 0
         if base is None:
-            base = out
-        assert out == base
-    for w in ("1", "3"):
-        code, out, _ = run_cli(
-            capsys, "divisors", "--field", "gf(2^1)", "--f", "x^12+x^6+x^3",
-            "--workers", w,
-        )
-        assert code == 0
-        if w == "1":
             base = out
         assert out == base
 

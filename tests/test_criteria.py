@@ -29,6 +29,7 @@ from apnforge import (
     classify_exponent,
     compose,
     cubic_divisor_search,
+    divides_exactly,
     deg12_classify,
     divisor_divides,
     exceptionality_report,
@@ -158,10 +159,49 @@ def test_constrained_mode_agrees_at_q2(g2):
     ]
 
 
-def test_search_worker_determinism(g2):
+def filter_free_hits(f, cands):
+    """The candidates whose cubic A + c1(x^2+y^2+z^2) + c4(xy+xz+yz)
+    + b1(x+y+z) + d divides phi(f), each decided by exact trivariate
+    division alone, with no specialization filter."""
+    big = make_field(3 * f.ctx.degree)
+    phi = build_phi(f).poly.embed(find_embedding(f.ctx, big))
+    a = plane_product(big)
+    hits = []
+    for c1, c4, b1, d in cands:
+        terms = dict(a.terms)
+        for monos, c in (
+            (((2, 0, 0), (0, 2, 0), (0, 0, 2)), c1),
+            (((1, 1, 0), (1, 0, 1), (0, 1, 1)), c4),
+            (((1, 0, 0), (0, 1, 0), (0, 0, 1)), b1),
+            (((0, 0, 0),), d),
+        ):
+            for mono in monos:
+                terms[mono] = c
+        if divides_exactly(phi, TriPoly(big, terms)):
+            hits.append((c1, c4, b1, d))
+    return hits
+
+
+def test_search_matches_filter_free_oracle(g2, g4):
+    # FULL over gf(2^1), on the 512 candidates with c4 = c1
     f = parse_poly("x^12 + x^6 + x^3", g2)
-    seq = [p.as_bits() for p in cubic_divisor_search(f).divisors]
-    assert [p.as_bits() for p in cubic_divisor_search(f, workers=4).divisors] == seq
+    cands = [(c1, c1, b1, d) for c1 in range(8) for b1 in range(8) for d in range(8)]
+    expected = filter_free_hits(f, cands)
+    assert expected
+    got = [p.as_bits() for p in cubic_divisor_search(f).divisors]
+    assert [c for c in got if c[0] == c[1]] == expected
+    # CONSTRAINED over gf(2^2): every candidate of the restricted space
+    f = parse_poly("0x2*x^28 + 0x3*x^26 + 0x3*x^6", g4)
+    big = make_field(6)
+    tz = sorted(e.bits for e in trace_zero_elements(big, 2))
+    cands = [
+        (c1, c1, 0, d) for c1 in tz for d in sorted({big.pow(c1, 3)} | set(tz))
+    ]
+    expected = filter_free_hits(f, cands)
+    assert expected
+    res = cubic_divisor_search(f)
+    assert res.mode == CONSTRAINED
+    assert [p.as_bits() for p in res.divisors] == expected
 
 
 def test_search_shape_and_size_errors(g2, g16):

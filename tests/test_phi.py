@@ -18,7 +18,7 @@ from apnforge import (
     split_q_affine,
     symmetric_quadratic,
 )
-from apnforge.errors import DegreeTooSmall
+from apnforge.errors import DegreeShapeMismatch, DegreeTooSmall
 from apnforge.tripoly import homog_decompose, substitute_linear
 from conftest import random_poly, random_q_affine
 
@@ -71,6 +71,13 @@ def test_even_split_rejects_odd():
         check_even_split(9)
 
 
+def test_even_split_shape_errors():
+    for d in (2, 9):
+        with pytest.raises(DegreeShapeMismatch) as exc:
+            check_even_split(d)
+        assert isinstance(exc.value, ValueError)
+
+
 def test_odd_plane_free_full_range():
     for r in range(3, 34, 2):
         assert check_odd_plane_free(r)
@@ -79,6 +86,13 @@ def test_odd_plane_free_full_range():
 def test_odd_plane_free_rejects_even():
     with pytest.raises(ValueError):
         check_odd_plane_free(8)
+
+
+def test_odd_plane_free_shape_errors():
+    for r in (1, 8):
+        with pytest.raises(DegreeShapeMismatch) as exc:
+            check_odd_plane_free(r)
+        assert isinstance(exc.value, ValueError)
 
 
 def test_phi9_remainder_mod_plane(g2):

@@ -15,7 +15,13 @@ from apnforge import (
     plane_product,
     symmetric_quadratic,
 )
-from apnforge.errors import DegreeOutOfRange, DivisionByZero
+from apnforge.errors import (
+    ContextMismatch,
+    DegreeOutOfRange,
+    DivisionByZero,
+    NotPositive,
+    UnknownSubstitution,
+)
 from apnforge.tripoly import substitute_linear
 from apnforge.unipoly import UniPoly
 
@@ -228,3 +234,31 @@ def test_substitute_linear_square_and_constant(g2):
     assert sq.terms == {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
     const = substitute_linear(UniPoly.one(g2), "x+y+z")
     assert const == TriPoly.one(g2)
+
+
+def test_foreign_context_felt_rejected(g4, g8):
+    # a Felt of another field is refused even when its bits fit in ctx
+    alien = g8.element(3)
+    with pytest.raises(ContextMismatch):
+        UniPoly(g4, [alien])
+    with pytest.raises(ContextMismatch):
+        UniPoly.from_pairs(g4, {2: alien})
+    with pytest.raises(ContextMismatch):
+        TriPoly(g4, {(1, 0, 0): alien})
+    # a Felt of the polynomial's own field is accepted
+    own = g4.element(3)
+    assert UniPoly(g4, [own]) == UniPoly(g4, [3])
+    assert UniPoly.from_pairs(g4, {2: own}) == UniPoly.from_pairs(g4, {2: 3})
+    assert TriPoly(g4, {(1, 0, 0): own}) == TriPoly(g4, {(1, 0, 0): 3})
+
+
+def test_negative_tripoly_power(g2):
+    with pytest.raises(NotPositive) as exc:
+        plane_product(g2) ** -1
+    assert isinstance(exc.value, ValueError)
+
+
+def test_unknown_substitution(g2):
+    with pytest.raises(UnknownSubstitution) as exc:
+        substitute_linear(UniPoly(g2, [0, 1]), "x+y")
+    assert isinstance(exc.value, ValueError)

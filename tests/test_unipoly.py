@@ -22,7 +22,7 @@ from apnforge import (
     split_q_affine,
     trace_zero_elements,
 )
-from apnforge.errors import DegreeOutOfRange, FieldTooLarge
+from apnforge.errors import DegreeOutOfRange, FieldTooLarge, NotPositive
 from conftest import random_poly
 
 
@@ -191,6 +191,12 @@ def test_eval_table_auto_embeds(g2, g8):
 def test_context_mismatch_on_add(g2, g4):
     with pytest.raises(ContextMismatch):
         parse_poly("x", g2) + parse_poly("x", g4)
+
+
+def test_negative_unipoly_power(g2):
+    with pytest.raises(NotPositive) as exc:
+        parse_poly("x + 1", g2) ** -1
+    assert isinstance(exc.value, ValueError)
 
 
 def test_split_resum_random_suite(g2, g4):
