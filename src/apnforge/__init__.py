@@ -32,7 +32,6 @@ from .criteria import (
     applicable_theorem,
     cubic_divisor_search,
     deg12_classify,
-    divisor_divides,
     exceptionality_report,
     family_generate,
     family_phi_closed,
@@ -67,7 +66,6 @@ from .phi import (
     build_phi,
     check_even_split,
     check_odd_plane_free,
-    phi_linearity_check,
     phi_monomial,
 )
 from .tripoly import (

@@ -259,16 +259,6 @@ def cubic_divisor_search(f: UniPoly, mode: str | None = None) -> SearchResult:
     return SearchResult(mode, big, divisors)
 
 
-def divisor_divides(params: DivisorParams, phi: TriPoly, embedding: Embedding) -> bool:
-    """True iff the cubic named by params divides phi lifted along embedding."""
-    big = embedding.target
-    for felt in (params.c1, params.c4, params.b1, params.d):
-        if felt.ctx != big:
-            raise ContextMismatch("divisor parameters must live in the extension field")
-    lifted = phi.embed(embedding)
-    return divides_exactly(lifted, _divisor_poly(big, *params.as_bits()))
-
-
 # degree-12 family ----------------------------------------------------------
 
 

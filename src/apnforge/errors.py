@@ -105,10 +105,6 @@ class NoRoot(InternalError):
     source degree divides the target degree, so treated as an internal failure."""
 
 
-class InternalNonExactDivision(InternalError):
-    """The quotient construction produced a nonzero remainder; must never fire."""
-
-
 class InvariantViolation(InternalError):
     """A result failed its own verification (a witness that does not rebuild
     f, a quartic that is not a permutation, a product that disagrees with its

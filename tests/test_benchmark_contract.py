@@ -1,6 +1,7 @@
 """What the benchmark harness in perfbench/ needs from the library: every
-function its tracer wraps still exists, and the spectrum entry points still
-take a worker count."""
+function its tracer wraps still exists, its attrs hooks can read the results
+those functions return, and the spectrum entry points still take a worker
+count."""
 
 import importlib.util
 from pathlib import Path
@@ -22,6 +23,21 @@ def test_tracer_targets_resolve():
     assert targets
     for owner, attr, name, _ in targets:
         assert callable(getattr(owner, attr, None)), (owner, attr, name)
+
+
+def test_tracer_attrs_hooks_read_real_results(g2, g16):
+    f12 = parse_poly("x^12 + x^6 + x^3", g2)
+    calls = {
+        "build_phi": (f12,),
+        "spectrum": (parse_poly("x^6 + x^3", g16), g16),
+        "cubic_divisor_search": (f12,),
+        "deg12_classify": (f12,),
+    }
+    hooked = [(owner, attr, hook) for owner, attr, _, hook in _load_tracer().targets() if hook]
+    assert sorted(attr for _, attr, _ in hooked) == sorted(calls)
+    for owner, attr, hook in hooked:
+        args = calls[attr]
+        assert isinstance(hook(args, {}, getattr(owner, attr)(*args)), dict), attr
 
 
 def test_spectrum_entry_points_take_workers(g16):

@@ -31,7 +31,6 @@ from apnforge import (
     cubic_divisor_search,
     divides_exactly,
     deg12_classify,
-    divisor_divides,
     exceptionality_report,
     family_generate,
     family_phi_closed,
@@ -49,7 +48,6 @@ from apnforge import (
 )
 from apnforge.criteria import (
     Deg12Witness,
-    DivisorParams,
     _build_witness,
     _orbit_sym,
     witness_json,
@@ -131,22 +129,19 @@ def test_search_x12(g2):
     assert hits == [(0, 0, 0, 0)]
 
 
-def test_search_soundness(g2, g8):
+def test_search_soundness(g2):
     f = parse_poly("x^12 + x^6 + x^3", g2)
-    phi = build_phi(f).poly
-    emb = find_embedding(g2, g8)
-    for params in cubic_divisor_search(f).divisors:
-        assert divisor_divides(params, phi, emb)
+    hits = [p.as_bits() for p in cubic_divisor_search(f).divisors]
+    assert filter_free_hits(f, hits) == hits
 
 
 def test_divisor_divides_examples(g2, g8):
     emb = find_embedding(g2, g8)
-    zero, one, alpha = g8.zero, g8.one, g8.element(0x2)
-    a3 = build_phi(parse_poly("x^12", g2)).poly
-    assert divisor_divides(DivisorParams(zero, zero, zero, zero), a3, emb)
-    assert not divisor_divides(DivisorParams(one, zero, zero, zero), a3, emb)
-    fam_phi = build_phi(parse_poly("x^12 + x^6 + x^3", g2)).poly
-    assert divisor_divides(DivisorParams(zero, zero, zero, alpha), fam_phi, emb)
+    a3 = build_phi(parse_poly("x^12", g2)).poly.embed(emb)
+    assert divides_exactly(a3, cubic(g8, 0, 0, 0, 0))
+    assert not divides_exactly(a3, cubic(g8, 1, 0, 0, 0))
+    fam_phi = build_phi(parse_poly("x^12 + x^6 + x^3", g2)).poly.embed(emb)
+    assert divides_exactly(fam_phi, cubic(g8, 0, 0, 0, 0x2))
 
 
 def test_constrained_mode_agrees_at_q2(g2):
@@ -159,27 +154,26 @@ def test_constrained_mode_agrees_at_q2(g2):
     ]
 
 
+def cubic(big, c1, c4, b1, d):
+    """A + c1(x^2+y^2+z^2) + c4(xy+xz+yz) + b1(x+y+z) + d over big."""
+    terms = dict(plane_product(big).terms)
+    for monos, c in (
+        (((2, 0, 0), (0, 2, 0), (0, 0, 2)), c1),
+        (((1, 1, 0), (1, 0, 1), (0, 1, 1)), c4),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), b1),
+        (((0, 0, 0),), d),
+    ):
+        for mono in monos:
+            terms[mono] = c
+    return TriPoly(big, terms)
+
+
 def filter_free_hits(f, cands):
-    """The candidates whose cubic A + c1(x^2+y^2+z^2) + c4(xy+xz+yz)
-    + b1(x+y+z) + d divides phi(f), each decided by exact trivariate
-    division alone, with no specialization filter."""
+    """The candidates whose cubic divides phi(f), each decided by exact
+    trivariate division alone, with no specialization filter."""
     big = make_field(3 * f.ctx.degree)
     phi = build_phi(f).poly.embed(find_embedding(f.ctx, big))
-    a = plane_product(big)
-    hits = []
-    for c1, c4, b1, d in cands:
-        terms = dict(a.terms)
-        for monos, c in (
-            (((2, 0, 0), (0, 2, 0), (0, 0, 2)), c1),
-            (((1, 1, 0), (1, 0, 1), (0, 1, 1)), c4),
-            (((1, 0, 0), (0, 1, 0), (0, 0, 1)), b1),
-            (((0, 0, 0),), d),
-        ):
-            for mono in monos:
-                terms[mono] = c
-        if divides_exactly(phi, TriPoly(big, terms)):
-            hits.append((c1, c4, b1, d))
-    return hits
+    return [cand for cand in cands if divides_exactly(phi, cubic(big, *cand))]
 
 
 def test_search_matches_filter_free_oracle(g2, g4):

@@ -11,8 +11,9 @@ from apnforge import (
     build_phi,
     check_even_split,
     check_odd_plane_free,
+    exact_divide,
+    make_field,
     parse_poly,
-    phi_linearity_check,
     phi_monomial,
     plane_product,
     split_q_affine,
@@ -105,14 +106,6 @@ def test_phi9_remainder_mod_plane(g2):
     assert r1
 
 
-def test_linearity(g8):
-    rng = random.Random(4)
-    for _ in range(40):
-        f = random_poly(rng, g8, 10)
-        g = random_poly(rng, g8, 10)
-        assert phi_linearity_check(f, g)
-
-
 def test_q_affine_kernel(g8):
     rng = random.Random(5)
     for _ in range(40):
@@ -136,21 +129,34 @@ def test_surface_of_sum_with_scaled_core(g16):
     assert build_phi(f + g).poly == build_phi(f).poly + build_phi(g).poly
 
 
+def _numerator(f):
+    return (
+        substitute_linear(f, "x")
+        + substitute_linear(f, "y")
+        + substitute_linear(f, "z")
+        + substitute_linear(f, "x+y+z")
+    )
+
+
 def test_quotient_times_plane_product_is_numerator(g2, g4):
+    # build_phi sums monomial surfaces from a recurrence; the product with
+    # the plane product and exact division are its oracles
     rng = random.Random(7)
-    for ctx in (g2, g4):
-        a = plane_product(ctx)
-        for _ in range(250):
-            f = random_poly(rng, ctx, 16, min_deg=1)
-            num = (
-                substitute_linear(f, "x")
-                + substitute_linear(f, "y")
-                + substitute_linear(f, "z")
-                + substitute_linear(f, "x+y+z")
-            )
-            phi = build_phi(f).poly
-            assert phi * a == num
-            assert (not phi) == (not split_q_affine(f).core)
+    cases = [(ctx, random_poly(rng, ctx, 16, min_deg=1)) for ctx in (g2, g4) for _ in range(250)]
+    for m in (1, 2, 3, 4):
+        ctx = make_field(m)
+        dense = {e: rng.randrange(1, ctx.order) for e in range(65)}
+        cases.append((ctx, UniPoly.from_pairs(ctx, dense)))
+    g2_17 = make_field(17)  # no log tables at this size
+    cases.append((g2_17, parse_poly("0x1abcd*x^64 + 0x3*x^37 + x^12 + 0x1ffff*x^5 + x", g2_17)))
+    for ctx, f in cases:
+        phi = build_phi(f).poly
+        assert phi * plane_product(ctx) == _numerator(f)
+        assert (not phi) == (not split_q_affine(f).core)
+    for d in range(65):
+        quotient, exact = exact_divide(_numerator(UniPoly.monomial(g2, d)), plane_product(g2))
+        assert exact
+        assert phi_monomial(d) == quotient
 
 
 def test_monomial_surfaces_are_homogeneous(g2):
